@@ -5,11 +5,13 @@ with vectorized kernels over a cached relation-bucketed edge layout, and gave
 the ``nn`` engine an inference fast path (``no_grad`` + float32).  This
 benchmark measures, on a synthetic ~500-node / ~3k-edge, 8-relation graph:
 
-* one RGAT / RGCN layer: ``forward_reference`` (the retained seed loop)
-  vs the vectorized ``forward``,
+* one RGAT / RGCN layer: ``repro.gnn.reference.forward_reference`` (the
+  retained seed loop) vs the vectorized autograd ``forward``,
 * the end-to-end ``ParaGraphModel`` forward: seed loop with autodiff
   recording (what the seed's ``predict`` executed) vs the vectorized
-  ``predict`` in float64 and in the float32 serving configuration,
+  autograd forward, and vs the path every prediction runs through —
+  a pack of one, ``predict_packed(pack_graphs([graph], R))`` — in float64
+  and in the float32 serving configuration,
 
 asserts the >= 5x end-to-end speedup the serving tier relies on plus
 float64 parity with the seed (atol=1e-9), appends the table to
@@ -23,14 +25,14 @@ relaxes to a sanity threshold because tiny graphs are overhead-dominated.
 
 import os
 import time
-import types
 
 import numpy as np
 
 from _reporting import report, report_json
-from repro.gnn import ParaGraphModel, RGATConv, RGCNConv
-from repro.nn import Tensor, no_grad
-from repro.paragraph.encoders import GraphBatch
+from repro.gnn import ParaGraphModel, RGATConv, RGCNConv, pack_graphs
+from repro.gnn.reference import forward_reference, use_reference_convs
+from repro.nn import Tensor
+from repro.paragraph.encoders import EncodedGraph, GraphBatch
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -67,12 +69,6 @@ def median_ms(fn, repeats=REPEATS):
     return float(np.median(samples))
 
 
-def use_reference_convs(model):
-    """Monkeypatch every conv of *model* back to the seed per-relation loop."""
-    for conv in model.convs:
-        conv.forward = types.MethodType(RGATConv.forward_reference, conv)
-
-
 def test_perf_gnn_forward():
     batch = synthetic_batch()
     rng = np.random.default_rng(0)
@@ -82,14 +78,12 @@ def test_perf_gnn_forward():
     rgat = RGATConv(FEATURE_DIM, HIDDEN_DIM, NUM_RELATIONS,
                     rng=np.random.default_rng(0))
     rgat_args = (x, batch.edge_index, batch.edge_type, batch.edge_weight)
-    rgat_seed_ms = median_ms(lambda: rgat.forward_reference(*rgat_args))
+    rgat_seed_ms = median_ms(lambda: forward_reference(rgat, *rgat_args))
     rgat_vec_ms = median_ms(lambda: rgat.forward(*rgat_args))
-    with no_grad():
-        rgat_fused_ms = median_ms(lambda: rgat.forward(*rgat_args))
 
     rgcn = RGCNConv(FEATURE_DIM, HIDDEN_DIM, NUM_RELATIONS,
                     rng=np.random.default_rng(0))
-    rgcn_seed_ms = median_ms(lambda: rgcn.forward_reference(*rgat_args))
+    rgcn_seed_ms = median_ms(lambda: forward_reference(rgcn, *rgat_args))
     rgcn_vec_ms = median_ms(lambda: rgcn.forward(*rgat_args))
 
     # ---------------- end-to-end ParaGraphModel forward ------------------ #
@@ -102,18 +96,29 @@ def test_perf_gnn_forward():
     seed_model.eval()
     use_reference_convs(seed_model)
 
+    graph = EncodedGraph(node_features=batch.node_features,
+                         edge_index=batch.edge_index,
+                         edge_type=batch.edge_type,
+                         edge_weight=batch.edge_weight,
+                         aux_features=batch.aux_features[0])
+
+    def serve(dtype=None):
+        # what Trainer.predict runs for one graph: a pack of one
+        return model.predict_packed(pack_graphs([graph], NUM_RELATIONS),
+                                    dtype=dtype)
+
     # the seed's predict() ran forward() with the autodiff graph recorded —
     # measure exactly that as the baseline
     e2e_seed_ms = median_ms(lambda: seed_model.forward(batch))
     e2e_vec_ms = median_ms(lambda: model.forward(batch))
-    e2e_f64_ms = median_ms(lambda: model.predict(batch))
-    e2e_f32_ms = median_ms(lambda: model.predict(batch, dtype=np.float32))
+    e2e_f64_ms = median_ms(serve)
+    e2e_f32_ms = median_ms(lambda: serve(np.float32))
 
     # ---------------- parity ---------------------------------------------#
     reference = seed_model.predict(batch)
-    vectorized = model.predict(batch)
-    np.testing.assert_allclose(vectorized, reference, atol=1e-9)
-    fast32 = model.predict(batch, dtype=np.float32)
+    np.testing.assert_allclose(model.predict(batch), reference, atol=1e-9)
+    np.testing.assert_allclose(serve(), reference, atol=1e-9)
+    fast32 = serve(np.float32)
     np.testing.assert_allclose(fast32, reference, rtol=1e-3, atol=1e-3)
 
     speedup_vec = e2e_seed_ms / e2e_vec_ms
@@ -126,16 +131,14 @@ def test_perf_gnn_forward():
         f"{', quick mode' if QUICK else ''}):\n"
         f"  RGAT layer   seed loop / vectorized  : {rgat_seed_ms:8.2f} ms / "
         f"{rgat_vec_ms:6.2f} ms  ({rgat_seed_ms / rgat_vec_ms:5.1f}x)\n"
-        f"  RGAT layer   fused no_grad kernel    : {rgat_fused_ms:8.2f} ms  "
-        f"({rgat_seed_ms / rgat_fused_ms:5.1f}x)\n"
         f"  RGCN layer   seed loop / vectorized  : {rgcn_seed_ms:8.2f} ms / "
         f"{rgcn_vec_ms:6.2f} ms  ({rgcn_seed_ms / rgcn_vec_ms:5.1f}x)\n"
         f"  model e2e    seed loop               : {e2e_seed_ms:8.2f} ms\n"
         f"  model e2e    vectorized (recording)  : {e2e_vec_ms:8.2f} ms  "
         f"({speedup_vec:5.1f}x)\n"
-        f"  model e2e    no_grad float64         : {e2e_f64_ms:8.2f} ms  "
+        f"  model e2e    packed float64          : {e2e_f64_ms:8.2f} ms  "
         f"({speedup_f64:5.1f}x)\n"
-        f"  model e2e    no_grad float32 serving : {e2e_f32_ms:8.2f} ms  "
+        f"  model e2e    packed float32 serving  : {e2e_f32_ms:8.2f} ms  "
         f"({speedup_f32:5.1f}x)")
 
     report_json("BENCH_pr2.json", {
@@ -144,7 +147,6 @@ def test_perf_gnn_forward():
                   "hidden_dim": HIDDEN_DIM, "quick": QUICK},
         "per_layer_ms": {
             "rgat_seed": rgat_seed_ms, "rgat_vectorized": rgat_vec_ms,
-            "rgat_fused_no_grad": rgat_fused_ms,
             "rgcn_seed": rgcn_seed_ms, "rgcn_vectorized": rgcn_vec_ms,
         },
         "end_to_end_ms": {

@@ -290,11 +290,11 @@ class Session:
         their own.  Graph construction is cached per session, so repeated
         sources only pay for one batched GNN forward pass.
 
-        The GNN forward runs on the inference fast path: vectorized
-        relational kernels over a cached edge layout, no autodiff graph
-        (``repro.nn.no_grad``), and — by default — float32 arithmetic.
-        Pass ``dtype=None`` for full float64 parity with training-time
-        evaluation (predictions differ by well under one part in 1e-4).
+        The GNN forward is the packed inference kernel
+        (:meth:`repro.ml.trainer.Trainer.predict`): no autodiff graph and,
+        by default, float32 arithmetic.  ``dtype=None`` runs float64,
+        bit-identical to evaluation (float32 differs by well under one
+        part in 1e-4).
         Empty batches return an empty array in the serving dtype
         (float64 when ``dtype=None``).
 

@@ -24,7 +24,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..clang import analyze, parse_snippet, parse_source
 from ..clang.semantics import ConstantEnvironment
-from ..ml.dataset import GraphDataset
 from ..ml.split import train_val_split
 from ..ml.trainer import Trainer
 from ..paragraph.builder import build_paragraph
@@ -237,31 +236,17 @@ class TrainStage(Stage):
 class PredictStage(Stage):
     """``encoded`` + ``trainer`` → ``predictions`` (runtimes in µs).
 
-    *dtype* selects the forward-pass precision: ``None`` keeps float64
-    parity with training-time evaluation, ``numpy.float32`` runs the serving
-    fast path (no autodiff graph, float32 kernels) — see
-    :meth:`repro.ml.trainer.Trainer.predict`.
-
-    *packed* routes the whole request list through one block-diagonal
-    packed forward (:meth:`repro.ml.trainer.Trainer.predict_packed`) —
-    the serving configuration — instead of the per-batch dataset loop.
-    Trainers (or registered models) without a packed kernel transparently
-    fall back to the loop either way.
+    Runs :meth:`repro.ml.trainer.Trainer.predict`, the one inference path:
+    *dtype* ``None`` keeps float64, bit-identical to evaluation and to
+    predicting each graph alone; ``numpy.float32`` is the serving fast path.
     """
 
     requires = ("encoded", "trainer")
     provides = ("predictions",)
 
-    def __init__(self, dtype=None, packed: bool = False) -> None:
+    def __init__(self, dtype=None) -> None:
         self.dtype = dtype
-        self.packed = packed
 
     def run(self, context) -> None:
-        trainer = context["trainer"]
-        encoded = list(context["encoded"])
-        if self.packed and hasattr(trainer, "predict_packed"):
-            context["predictions"] = trainer.predict_packed(encoded,
-                                                            dtype=self.dtype)
-            return
-        dataset = GraphDataset(encoded, name="predict")
-        context["predictions"] = trainer.predict(dataset, dtype=self.dtype)
+        context["predictions"] = context["trainer"].predict(
+            context["encoded"], dtype=self.dtype)

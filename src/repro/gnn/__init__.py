@@ -4,17 +4,19 @@ Substitute for PyTorch-Geometric: relational graph attention (RGAT), RGCN
 and GAT convolutions, global pooling readouts, and the full
 :class:`ParaGraphModel` (3×RGAT + auxiliary-feature branch + FC head).
 
-The relational convolutions are vectorized over relations via the cached
+The relational convolutions have two paths.  Training runs the autograd
+``forward``, vectorized over relations via the cached
 :class:`RelationalEdgeLayout` (relation-bucketed CSR-style edge layout,
-validated and sorted once per distinct graph), and ``RGATConv`` additionally
-carries a fused pure-NumPy kernel that serves ``no_grad`` forwards; the seed
-per-relation-loop implementations survive as ``forward_reference`` for the
-parity regression tests and ``benchmarks/test_perf_gnn_forward.py``.
+validated and sorted once per distinct graph).  Every inference —
+evaluation, serving and a solo prediction alike — runs the raw-array
+``forward_packed`` kernel: :mod:`repro.gnn.packing` packs one or more
+graphs into a block-diagonal ``PackedLayout`` so a whole batch costs a
+single forward (``ParaGraphModel.predict_packed``) that is float64
+bit-identical to predicting each graph alone.  Plain GAT has no packed
+kernel and infers through its collated ``forward``.
 
-:mod:`repro.gnn.packing` packs many graphs into one block-diagonal
-``PackedLayout`` so a whole serving micro-batch costs a single fused
-forward (``ParaGraphModel.predict_packed``) that is float64 bit-identical
-to predicting each graph alone.
+:mod:`repro.gnn.reference` keeps the seed per-relation-loop forwards as
+independent test oracles for both paths.
 """
 
 from .edge_layout import (

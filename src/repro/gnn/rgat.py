@@ -14,29 +14,29 @@ weights enter the layer multiplicatively: each message is scaled by
 loop bodies) contribute proportionally more to the embedding, while the
 weightless augmentation edges (w = 0) are unaffected.
 
-The forward pass is fully vectorized over relations: a cached
-relation-bucketed :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`
+The autograd forward (training) is fully vectorized over relations: a
+cached relation-bucketed :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`
 feeds either one stacked batched-matmul projection of all nodes (dense
 graphs) or a gather → :func:`~repro.nn.functional.segment_matmul` of only
 the rows each relation actually touches (sparse relations), followed by a
 fused gather → message → segment-softmax → scatter-add with no Python loop
-over relations.  The seed per-relation-loop implementation is kept as
-:meth:`RGATConv.forward_reference` for parity regression tests and the
-``benchmarks/test_perf_gnn_forward.py`` micro-benchmark.
+over relations.  Inference runs :meth:`RGATConv.forward_packed`, a raw-array
+kernel over a block-diagonal pack of one or more graphs.  The seed
+per-relation loop lives on in :mod:`repro.gnn.reference` as a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn import init
 from ..nn.module import Parameter
-from ..nn.tensor import Tensor, concatenate, is_inference, segment_sum_data
+from ..nn.tensor import Tensor, segment_sum_data
 from .edge_layout import RelationalEdgeLayout, get_edge_layout
-from .message_passing import MessagePassing, validate_edge_index
+from .message_passing import MessagePassing
 
 
 class RGATConv(MessagePassing):
@@ -127,10 +127,6 @@ class RGATConv(MessagePassing):
 
         heads, out_channels = self.heads, self.out_channels
 
-        if num_edges and is_inference():
-            # inference fast path: fused pure-NumPy kernel, no Tensor ops
-            return self._forward_fused(x, layout, edge_weight)
-
         if num_edges == 0:
             aggregated = Tensor(np.zeros((num_nodes, heads * out_channels)),
                                 dtype=x.data.dtype)
@@ -184,7 +180,7 @@ class RGATConv(MessagePassing):
         return aggregated + self.bias
 
     def _fused_pack(self, dtype):
-        """Pre-packed single-GEMM weights for the fused dense kernel.
+        """Pre-packed single-GEMM weights for the packed kernel's dense branch.
 
         ``W2`` is the relation-stacked projection reshaped to ``(F, R*H*C)``
         so all relations project in one BLAS call, and ``A_src`` / ``A_dst``
@@ -219,65 +215,6 @@ class RGATConv(MessagePassing):
                       packed_w, packed_a_src, packed_a_dst)
         return packed_w, packed_a_src, packed_a_dst
 
-    def _forward_fused(self, x: Tensor, layout: RelationalEdgeLayout,
-                       edge_weight: Optional[np.ndarray]) -> Tensor:
-        """Fused no-autodiff kernel: gather → message → softmax → scatter.
-
-        Runs only under :func:`repro.nn.no_grad` (``Tensor.inference``); works
-        on raw arrays with pre-packed weights, scales messages in place and
-        aggregates through the cached sparse scatter matrix, so a forward
-        pass allocates nothing but its per-edge buffers.
-        """
-        xd = x.data
-        num_nodes = xd.shape[0]
-        num_edges = layout.num_edges
-        heads, out_channels = self.heads, self.out_channels
-        src, dst, rel = layout.src, layout.dst, layout.rel
-        weight = self.weight.data
-
-        if self.num_relations * num_nodes <= 2 * num_edges:
-            packed_w, packed_a_src, packed_a_dst = self._fused_pack(xd.dtype)
-            projected = xd @ packed_w                        # (N, R*H*C)
-            score_src = xd @ packed_a_src                    # (N, R*H)
-            score_dst = xd @ packed_a_dst
-            h = projected.reshape(-1, heads, out_channels)[layout.cell_src]
-            logit = score_src.reshape(-1, heads)[layout.cell_src] \
-                + score_dst.reshape(-1, heads)[layout.cell_dst]   # (E, H)
-        else:
-            out_dtype = np.result_type(xd, weight)
-            x_src, x_dst = xd[src], xd[dst]
-            h = np.zeros((num_edges, heads * out_channels), dtype=out_dtype)
-            h_dst = np.zeros_like(h)
-            for relation, lo, hi in layout.blocks():
-                np.matmul(x_src[lo:hi], weight[relation], out=h[lo:hi])
-                np.matmul(x_dst[lo:hi], weight[relation], out=h_dst[lo:hi])
-            h = h.reshape(num_edges, heads, out_channels)
-            h_dst = h_dst.reshape(num_edges, heads, out_channels)
-            logit = np.einsum("ehc,ehc->eh", h, self.att_src.data[rel]) \
-                + np.einsum("ehc,ehc->eh", h_dst, self.att_dst.data[rel])
-
-        logit = np.where(logit > 0, logit, self.negative_slope * logit)
-        # segment softmax over destinations, in place on the logit buffer;
-        # per-node reductions run as reduceat over the layout's dst-major view
-        seg_max = layout.segment_reduce(logit, op="max")
-        logit -= seg_max[dst]
-        np.exp(logit, out=logit)
-        denom = layout.segment_reduce(logit, op="sum")
-        logit /= (denom + 1e-16)[dst]                        # alpha (E, H)
-        if self.use_edge_weight and edge_weight is not None:
-            logit *= (1.0 + layout.sort(edge_weight, dtype=logit.dtype))[:, None]
-        h *= logit[:, :, None]                               # in-place scaling
-        messages = h.reshape(num_edges, heads * out_channels)
-        matrix = layout.scatter_matrix(messages.dtype)
-        if matrix is not None:
-            aggregated = np.asarray(matrix @ messages)
-        else:                       # no scipy: generic segment-sum fallback
-            aggregated = segment_sum_data(messages, dst, num_nodes)
-        if self.self_weight is not None:
-            aggregated += xd @ self.self_weight.data
-        aggregated += self.bias.data
-        return Tensor(aggregated, dtype=aggregated.dtype)
-
     def forward_packed(self, x: np.ndarray, packed,
                        edge_weight: Optional[np.ndarray] = None) -> np.ndarray:
         """Fused packed-batch kernel: many graphs, one block-diagonal pass.
@@ -286,8 +223,8 @@ class RGATConv(MessagePassing):
         concatenated node features, *edge_weight* the concatenated weights in
         original per-graph edge order.  Bit-identity contract (see
         :mod:`repro.gnn.packing`): every BLAS call runs per graph — block
-        views with exactly the shapes the solo :meth:`_forward_fused` uses,
-        and each graph keeps its own dense/sparse branch decision — while the
+        views with exactly the shapes a pack of that graph alone uses, and
+        each graph keeps its own dense/sparse branch decision — while the
         composition-stable per-edge tail (leaky-relu, segment softmax,
         edge-weight scaling, scatter aggregation) runs once over the merged
         layout.  Inference-only: raw arrays, no autodiff.
@@ -372,79 +309,6 @@ class RGATConv(MessagePassing):
                 aggregated[n0:n1] += x[n0:n1] @ self_w
         aggregated += self.bias.data
         return aggregated
-
-    def forward_reference(
-        self,
-        x: Tensor,
-        edge_index: np.ndarray,
-        edge_type: Optional[np.ndarray] = None,
-        edge_weight: Optional[np.ndarray] = None,
-        layout: Optional[RelationalEdgeLayout] = None,
-    ) -> Tensor:
-        """The seed per-relation-loop forward (*layout* is ignored).
-
-        Kept as the ground truth for the vectorized kernel: parity regression
-        tests assert ``forward == forward_reference`` to float64 precision,
-        and the GNN micro-benchmark measures the speedup against it.
-        """
-        num_nodes = x.shape[0]
-        edge_index = validate_edge_index(edge_index, num_nodes)
-        num_edges = edge_index.shape[1]
-        if edge_type is None:
-            edge_type = np.zeros(num_edges, dtype=np.int64)
-        else:
-            edge_type = np.asarray(edge_type, dtype=np.int64)
-        if edge_type.shape != (num_edges,):
-            raise ValueError("edge_type must have one entry per edge")
-        if edge_type.size and (edge_type.min() < 0 or edge_type.max() >= self.num_relations):
-            raise ValueError("edge_type outside [0, num_relations)")
-        if edge_weight is None:
-            edge_weight = np.zeros(num_edges, dtype=np.float64)
-        else:
-            edge_weight = np.asarray(edge_weight, dtype=np.float64)
-
-        heads, out_channels = self.heads, self.out_channels
-
-        if num_edges == 0:
-            aggregated = Tensor(np.zeros((num_nodes, heads * out_channels)))
-        else:
-            logits_parts: List[Tensor] = []
-            messages_parts: List[Tensor] = []
-            dst_parts: List[np.ndarray] = []
-            for relation in range(self.num_relations):
-                mask = edge_type == relation
-                if not mask.any():
-                    continue
-                src = edge_index[0, mask]
-                dst = edge_index[1, mask]
-                weights = edge_weight[mask]
-                # project all nodes with this relation's matrix, then gather
-                projected = (x @ self.weight[relation]).reshape(num_nodes, heads, out_channels)
-                h_src = projected.index_select(src)          # (e_r, H, C)
-                h_dst = projected.index_select(dst)
-                logit = (h_src * self.att_src[relation]).sum(axis=2) \
-                    + (h_dst * self.att_dst[relation]).sum(axis=2)   # (e_r, H)
-                logit = F.leaky_relu(logit, self.negative_slope)
-                message = h_src
-                if self.use_edge_weight:
-                    scale = (1.0 + weights)[:, None, None]
-                    message = message * Tensor(scale)
-                logits_parts.append(logit)
-                messages_parts.append(message)
-                dst_parts.append(dst)
-
-            logits = concatenate(logits_parts, axis=0)          # (E, H)
-            messages = concatenate(messages_parts, axis=0)      # (E, H, C)
-            dst_all = np.concatenate(dst_parts)
-            # across-relation attention normalization per destination node
-            alpha = F.segment_softmax(logits, dst_all, num_nodes)   # (E, H)
-            weighted = messages * alpha.reshape(alpha.shape[0], heads, 1)
-            aggregated = self.aggregate_sum(weighted, dst_all, num_nodes)
-            aggregated = aggregated.reshape(num_nodes, heads * out_channels)
-
-        if self.self_weight is not None:
-            aggregated = aggregated + (x @ self.self_weight)
-        return aggregated + self.bias
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RGATConv({self.in_channels}, {self.out_channels}, "

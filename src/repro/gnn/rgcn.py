@@ -9,8 +9,9 @@ Like :class:`~repro.gnn.rgat.RGATConv`, the forward pass is vectorized over
 relations through a cached :class:`~repro.gnn.edge_layout.RelationalEdgeLayout`:
 messages are projected per relation block (gathered rows only — never all
 nodes per relation), normalized by per-(relation, destination) edge counts,
-and aggregated with a single scatter-add.  The seed per-relation loop is kept
-as :meth:`RGCNConv.forward_reference` for the parity regression tests.
+and aggregated with a single scatter-add.  Inference runs
+:meth:`RGCNConv.forward_packed`; the seed per-relation loop lives on in
+:mod:`repro.gnn.reference` as a test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..nn import init
 from ..nn.module import Parameter
 from ..nn.tensor import Tensor, segment_sum_data
 from .edge_layout import RelationalEdgeLayout, get_edge_layout
-from .message_passing import MessagePassing, validate_edge_index
+from .message_passing import MessagePassing
 
 
 class RGCNConv(MessagePassing):
@@ -150,42 +151,6 @@ class RGCNConv(MessagePassing):
                 out[n0:n1] += segment_sum_data(messages[rows], dst[rows] - n0,
                                                n1 - n0)
         return out + self.bias.data
-
-    def forward_reference(
-        self,
-        x: Tensor,
-        edge_index: np.ndarray,
-        edge_type: Optional[np.ndarray] = None,
-        edge_weight: Optional[np.ndarray] = None,
-        layout: Optional[RelationalEdgeLayout] = None,
-    ) -> Tensor:
-        """The seed per-relation-loop forward (*layout* is ignored); ground
-        truth for the parity regression tests and the micro-benchmark."""
-        num_nodes = x.shape[0]
-        edge_index = validate_edge_index(edge_index, num_nodes)
-        num_edges = edge_index.shape[1]
-        if edge_type is None:
-            edge_type = np.zeros(num_edges, dtype=np.int64)
-        else:
-            edge_type = np.asarray(edge_type, dtype=np.int64)
-        if edge_weight is None:
-            edge_weight = np.zeros(num_edges, dtype=np.float64)
-        else:
-            edge_weight = np.asarray(edge_weight, dtype=np.float64)
-
-        out = x @ self.root_weight
-        for relation in range(self.num_relations):
-            mask = edge_type == relation
-            if not mask.any():
-                continue
-            src = edge_index[0, mask]
-            dst = edge_index[1, mask]
-            projected = x @ self.weight[relation]
-            messages = projected.index_select(src)
-            if self.use_edge_weight:
-                messages = messages * Tensor((1.0 + edge_weight[mask])[:, None])
-            out = out + self.aggregate_mean(messages, dst, num_nodes)
-        return out + self.bias
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RGCNConv({self.in_channels}, {self.out_channels}, "

@@ -23,7 +23,7 @@ from ..nn.losses import MSELoss
 from ..nn.module import Module
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor
-from ..paragraph.encoders import GraphBatch
+from ..paragraph.encoders import GraphBatch, GraphEncoder
 from .dataset import GraphDataset
 from .metrics import normalized_rmse, rmse
 from .scaler import LogMinMaxScaler, MinMaxScaler
@@ -124,76 +124,48 @@ class Trainer:
         )
 
     # ------------------------------------------------------------------ #
-    def predict(self, dataset: GraphDataset, batch_size: Optional[int] = None,
-                dtype=None) -> np.ndarray:
-        """Predict runtimes (microseconds) for every sample in *dataset*.
+    def predict(self, dataset_or_graphs, dtype=None) -> np.ndarray:
+        """Predict runtimes (microseconds) for a dataset or encoded graphs.
 
-        Inference runs on the no-graph fast path (``repro.nn.no_grad``).
-        *dtype* selects the forward-pass precision: ``None`` keeps float64
-        (bit-parity with training-time evaluation); ``np.float32`` is the
-        serving configuration ``Session.predict_batch`` uses.
+        The one inference path evaluation, serving and solo predictions
+        share: the graphs split into sub-packs of bounded node count
+        (:func:`repro.gnn.split_packs`), each packs into one block-diagonal
+        batch (:func:`repro.gnn.pack_graphs`) and runs the model's packed
+        kernel.  Float64 (``dtype=None``) results are bit-identical to
+        predicting each graph alone, for any packing order or split;
+        ``np.float32`` is the serving configuration.  Models without a
+        packed kernel (plain GAT, custom registered convs) run their
+        collated ``predict`` instead, the only path they have.
         """
         if not self._fitted_scalers:
             raise RuntimeError("Trainer.fit must run before predict")
-        if len(dataset) == 0:
-            return np.zeros(0)
-        from ..obs.tracing import span
-
-        batch_size = batch_size or self.config.batch_size
-        outputs: List[np.ndarray] = []
-        for batch in dataset.batches(batch_size, shuffle=False):
-            scaled = self._scaled_batch(batch)
-            with span("engine.forward", num_graphs=scaled.num_graphs,
-                      packed=False):
-                if dtype is None:
-                    # don't forward the kwarg: custom models registered
-                    # against the pre-dtype predict() signature must keep
-                    # working
-                    outputs.append(self.model.predict(scaled))
-                else:
-                    outputs.append(self.model.predict(scaled, dtype=dtype))
-        scaled_predictions = np.concatenate(outputs).astype(np.float64)
-        # clamp to the scaler's range before inverting so expm1 cannot overflow
-        scaled_predictions = np.clip(scaled_predictions, 0.0, 1.0)
-        return self.target_scaler.inverse_transform(scaled_predictions)
-
-    def predict_packed(self, graphs, dtype=None) -> np.ndarray:
-        """Predict runtimes for *graphs* through one packed forward.
-
-        Packs the encoded graphs into block-diagonal batches
-        (:func:`repro.gnn.pack_graphs`) and runs the model's fused
-        multi-graph kernel — float64 (``dtype=None``) results are
-        bit-identical to predicting each graph alone, for any packing
-        order.  Large batches split into sub-packs of bounded node count
-        (:func:`repro.gnn.split_packs`) so a fused forward's working set
-        stays cache-resident; splitting changes nothing numerically.
-        Models without a packed kernel (e.g. the COMPOFF MLP or a custom
-        registered conv) transparently fall back to :meth:`predict`.
-        """
-        if not self._fitted_scalers:
-            raise RuntimeError("Trainer.fit must run before predict")
-        graphs = list(graphs)
+        graphs = list(dataset_or_graphs)
         if not graphs:
             return np.zeros(0)
-        supports = getattr(self.model, "supports_packed", None)
-        if supports is None or not supports():
-            return self.predict(GraphDataset(graphs, name="predict"),
-                                dtype=dtype)
         # imported lazily: repro.gnn pulls in the api registries, which in
         # turn import this module
         from ..gnn.packing import pack_graphs, split_packs
         from ..obs.tracing import span
 
+        supports = getattr(self.model, "supports_packed", None)
+        packed = supports is not None and supports()
+        # don't forward a None dtype: custom models registered against the
+        # pre-dtype predict() signature must keep working
+        kwargs = {} if dtype is None else {"dtype": dtype}
         results = []
         for pack in split_packs(graphs):
-            batch = pack_graphs(pack, self.model.num_relations)
-            batch.aux_features = self.aux_scaler.transform(batch.aux_features)
-            with span("engine.forward", num_graphs=len(pack), packed=True):
-                if dtype is None:
-                    outputs = self.model.predict_packed(batch)
-                else:
-                    outputs = self.model.predict_packed(batch, dtype=dtype)
+            if packed:
+                batch = pack_graphs(pack, self.model.num_relations)
+                batch.aux_features = self.aux_scaler.transform(
+                    batch.aux_features)
+                forward = self.model.predict_packed
+            else:
+                batch = self._scaled_batch(GraphEncoder.collate(pack))
+                forward = self.model.predict
+            with span("engine.forward", num_graphs=len(pack), packed=packed):
+                outputs = forward(batch, **kwargs)
             results.append(np.asarray(outputs).astype(np.float64))
+        # clamp to the scaler's range before inverting so expm1 cannot overflow
         scaled_predictions = np.clip(np.concatenate(results), 0.0, 1.0)
         return self.target_scaler.inverse_transform(scaled_predictions)
 

@@ -103,7 +103,6 @@ MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 MAX_RETRIES_ENV = "REPRO_SERVE_MAX_RETRIES"
 BREAKER_THRESHOLD_ENV = "REPRO_SERVE_BREAKER_THRESHOLD"
 BREAKER_RESET_MS_ENV = "REPRO_SERVE_BREAKER_RESET_MS"
-PACKED_ENV = "REPRO_SERVE_PACKED"
 
 #: extra slack predict()/predict_specs() grant a pooled future past its
 #: deadline before declaring the request lost — covers the scheduler drop
@@ -131,22 +130,6 @@ def _env_float(name: str, default: float) -> float:
         return float(raw)
     except ValueError:
         raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                "0": False, "false": False, "no": False, "off": False}
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return _BOOL_VALUES[raw.lower()]
-    except KeyError:
-        raise ValueError(
-            f"{name} must be a boolean (1/0, true/false, yes/no, on/off), "
-            f"got {raw!r}") from None
 
 
 def resolve_result_dtype(dtype) -> np.dtype:
@@ -193,12 +176,6 @@ class ServerConfig:
         breaker.  ``0`` disables breakers entirely.
     breaker_reset_s:
         How long an open circuit waits before admitting a half-open trial.
-    packed_forward:
-        Execute every batch through the packed block-diagonal multi-graph
-        forward (``Trainer.predict_packed``) instead of the per-batch
-        dataset loop.  On (the default), float64 results stay bit-identical
-        to solo predictions for *every* batch composition; switch off to
-        serve through the legacy collated loop.
     """
 
     num_workers: int = 0
@@ -211,7 +188,6 @@ class ServerConfig:
     retry_budget: float = 32.0
     breaker_threshold: int = 8
     breaker_reset_s: float = 5.0
-    packed_forward: bool = True
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
@@ -248,7 +224,6 @@ class ServerConfig:
             max_retries=_env_int(MAX_RETRIES_ENV, 2),
             breaker_threshold=_env_int(BREAKER_THRESHOLD_ENV, 8),
             breaker_reset_s=_env_float(BREAKER_RESET_MS_ENV, 5000.0) / 1000.0,
-            packed_forward=_env_bool(PACKED_ENV, True),
         )
 
 
@@ -426,14 +401,10 @@ class Server:
         """Queue one prediction; returns a future resolving to µs runtime.
 
         Queued singles coalesce with other callers' requests into
-        micro-batches (see :class:`ServerConfig`).  Under the default
-        packed forward (``packed_forward=True``) a float64 result is
+        micro-batches (see :class:`ServerConfig`).  A float64 result is
         **bit-identical** to a solo prediction no matter which companions
         it coalesced with — the packed kernel keeps every BLAS call at
-        solo shapes.  With ``packed_forward=False`` (legacy collated loop)
-        the result matches a solo prediction only to BLAS rounding
-        (~1e-14 relative in float64), because batch composition changes
-        the GEMM shapes.
+        solo shapes.
 
         *deadline_s* bounds the request end to end (queueing included);
         the future then resolves to :class:`DeadlineExceeded` instead of
@@ -647,9 +618,8 @@ class Server:
                 encoded = self._session._encode_specs(specs,
                                                       snippet=key.snippet)
             fault_point(SITE_FORWARD)
-            stage = PredictStage(dtype=dtype,
-                                 packed=self.config.packed_forward)
-            context = Pipeline([stage]).run(encoded=encoded, trainer=trainer)
+            context = Pipeline([PredictStage(dtype=dtype)]).run(
+                encoded=encoded, trainer=trainer)
         return context["predictions"]
 
     def _execute_with_retry(self, key: ShardKey, specs: List,

@@ -13,8 +13,8 @@ cross-layer invariant checked over many seeded generated cases:
 * ``graph-validity`` — the random-graph generator only emits valid graphs
   and block-diagonal batches,
 * ``gnn-forward-parity`` / ``gnn-gradient-parity`` — the vectorized RGAT /
-  RGCN kernels (including the fused ``no_grad`` path) match the seed
-  ``forward_reference`` implementations on random shapes,
+  RGCN kernels (the autograd ``forward`` and the packed inference kernel)
+  match the seed loops of :mod:`repro.gnn.reference` on random shapes,
 * ``float32-serving-bounds`` — float32 serving stays within tolerance of
   the float64 training-parity forward,
 * ``pooling-paths`` — the sorted-batch ``reduceat`` pooling shortcut, the
@@ -274,29 +274,35 @@ def _gnn_case(seed: int):
 
 
 def check_gnn_forward_parity(seed: int) -> None:
-    from ..nn.tensor import no_grad
+    from ..gnn.packing import pack_graphs
+    from ..gnn.reference import forward_reference
 
     encoded, convs, Tensor = _gnn_case(seed)
     arguments = (encoded.edge_index, encoded.edge_type, encoded.edge_weight)
     for conv in convs:
-        reference = conv.forward_reference(Tensor(encoded.node_features), *arguments)
+        reference = forward_reference(conv, Tensor(encoded.node_features),
+                                      *arguments)
         vectorized = conv(Tensor(encoded.node_features), *arguments)
         np.testing.assert_allclose(vectorized.data, reference.data, atol=1e-9,
                                    err_msg=type(conv).__name__)
-        with no_grad():                 # fused inference kernel
-            fused = conv(Tensor(encoded.node_features), *arguments)
-        np.testing.assert_allclose(fused.data, reference.data, atol=1e-9,
-                                   err_msg=f"{type(conv).__name__} (no_grad)")
+        # the inference kernel, on a pack of one as a solo prediction runs it
+        pack = pack_graphs([encoded], conv.num_relations)
+        packed = conv.forward_packed(pack.node_features, pack.layout,
+                                     pack.edge_weight)
+        np.testing.assert_allclose(packed, reference.data, atol=1e-9,
+                                   err_msg=f"{type(conv).__name__} (packed)")
 
 
 def check_gnn_gradient_parity(seed: int) -> None:
+    from ..gnn.reference import forward_reference
+
     encoded, convs, Tensor = _gnn_case(seed)
     conv = convs[0]                     # RGAT: the layer the paper trains
     arguments = (encoded.edge_index, encoded.edge_type, encoded.edge_weight)
 
     x_ref = Tensor(encoded.node_features.copy(), requires_grad=True)
     conv.zero_grad()
-    conv.forward_reference(x_ref, *arguments).pow(2.0).sum().backward()
+    forward_reference(conv, x_ref, *arguments).pow(2.0).sum().backward()
     reference_grads = {name: None if p.grad is None else p.grad.copy()
                        for name, p in conv.named_parameters()}
 
@@ -825,17 +831,23 @@ def check_packed_forward_parity(seed: int) -> None:
 
     Seeded plan: a small :class:`~repro.gnn.models.ParaGraphModel`
     (seed-chosen conv kind, depth, heads and readout) with fitted scalers
-    predicts 2-6 random graphs one at a time — the per-graph reference
-    loop serving keeps for parity — and then through
-    :meth:`~repro.ml.trainer.Trainer.predict_packed` under several random
+    predicts 2-6 random graphs one at a time, and then through
+    :meth:`~repro.ml.trainer.Trainer.predict` under several random
     packing orders.  Every packed float64 result must equal its solo
     reference **bit for bit**: the packed kernel keeps all BLAS calls at
     solo shapes, so batch composition must not change a single bit (the
-    contract SERVING.md's "Packed batching" section documents).
+    contract SERVING.md's "Packed batching" section documents).  A solo
+    prediction is a pack of one, so the packed outputs are also checked
+    against two forwards that share no code with that kernel — the
+    autograd forward and the seed loops of :mod:`repro.gnn.reference` —
+    to float64 precision.
     """
     from ..gnn.models import ParaGraphModel
+    from ..gnn.packing import pack_graphs
+    from ..gnn.reference import independent_forwards
     from ..ml.dataset import GraphDataset
     from ..ml.trainer import Trainer, TrainingConfig
+    from ..paragraph.encoders import GraphEncoder
 
     rng = np.random.default_rng(seed)
     num_relations = int(rng.choice([1, 2, NUM_EDGE_TYPES]))
@@ -858,18 +870,28 @@ def check_packed_forward_parity(seed: int) -> None:
     assert model.supports_packed()
     trainer = Trainer(model, TrainingConfig(epochs=1))
     trainer._fit_scalers(GraphDataset(graphs, name="synth-packed"))
-    reference = np.concatenate([
-        trainer.predict(GraphDataset([graph], name="solo"))
-        for graph in graphs])
+    reference = np.concatenate([trainer.predict([graph]) for graph in graphs])
     for _ in range(2):
         order = rng.permutation(num_graphs)
-        packed = trainer.predict_packed([graphs[index] for index in order])
+        packed = trainer.predict([graphs[index] for index in order])
         np.testing.assert_array_equal(
             packed, reference[order],
             err_msg=f"packing order {order.tolist()} changed float64 bits")
-    # single-graph packs ride the same path inline serving uses
-    np.testing.assert_array_equal(trainer.predict_packed(graphs[:1]),
-                                  reference[:1])
+    np.testing.assert_array_equal(
+        trainer.predict(GraphDataset(graphs, name="synth-packed")), reference,
+        err_msg="predicting a GraphDataset changed float64 bits")
+
+    # the model's scaled outputs, packed and from the independent oracles
+    batch = pack_graphs(graphs, num_relations)
+    batch.aux_features = trainer.aux_scaler.transform(batch.aux_features)
+    outputs = model.predict_packed(batch)
+    np.testing.assert_array_equal(
+        trainer.target_scaler.inverse_transform(np.clip(outputs, 0.0, 1.0)),
+        reference, err_msg="Trainer.predict is not the packed kernel")
+    collated = trainer._scaled_batch(GraphEncoder.collate(graphs))
+    for name, expected in independent_forwards(model, collated).items():
+        np.testing.assert_allclose(outputs, expected, atol=1e-9,
+                                   err_msg=f"packed kernel vs {name}")
 
 
 def check_analysis_planted_defects(seed: int) -> None:

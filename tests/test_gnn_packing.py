@@ -5,7 +5,8 @@ from-scratch build of the concatenated graph exactly), the separate packed
 cache keyspace (packing combinatorial compositions must not thrash the main
 edge-layout LRU serving keeps hot), the packed-cache eviction order, the
 ``pack_graphs`` payload contract, and the ``packed-forward-parity`` corpus
-sweep asserting float64 bit-identity between packed and per-graph serving.
+sweep asserting float64 bit-identity between packed and per-graph serving
+plus agreement with the oracles of :mod:`repro.gnn.reference`.
 """
 
 import numpy as np
@@ -21,8 +22,10 @@ from repro.gnn import (
     pack_graphs,
     split_packs,
 )
+from repro.gnn.reference import independent_forwards
 from repro.ml.dataset import GraphDataset
 from repro.ml.trainer import Trainer, TrainingConfig
+from repro.paragraph.encoders import GraphEncoder
 from repro.synth import random_encoded_graph, run_cases
 
 RELATIONS = 8
@@ -236,7 +239,7 @@ class TestSplitPacks:
         assert [len(pack) for pack in packs] == [1, 1, 1]
 
     def test_splitting_is_bit_transparent(self):
-        # a batch big enough that predict_packed splits it into several
+        # a batch big enough that Trainer.predict splits it into several
         # sub-packs must still match the per-graph loop bit for bit
         from repro.synth.graph_gen import GraphGenConfig
 
@@ -248,10 +251,25 @@ class TestSplitPacks:
                                num_conv_layers=1, seed=0)
         trainer = Trainer(model, TrainingConfig(epochs=1))
         trainer._fit_scalers(GraphDataset(graphs, name="split"))
-        reference = np.concatenate(
-            [trainer.predict_packed([g]) for g in graphs])
-        np.testing.assert_array_equal(trainer.predict_packed(graphs),
-                                      reference)
+        reference = np.concatenate([trainer.predict([g]) for g in graphs])
+        np.testing.assert_array_equal(trainer.predict(graphs), reference)
+
+        # a solo prediction runs the packed kernel too, so also check its
+        # scaled outputs against forwards that share no code with it
+        outputs = []
+        for graph in graphs:
+            batch = pack_graphs([graph], RELATIONS)
+            batch.aux_features = trainer.aux_scaler.transform(
+                batch.aux_features)
+            outputs.append(model.predict_packed(batch))
+        outputs = np.concatenate(outputs)
+        np.testing.assert_array_equal(
+            trainer.target_scaler.inverse_transform(np.clip(outputs, 0, 1)),
+            reference)
+        collated = trainer._scaled_batch(GraphEncoder.collate(graphs))
+        for name, expected in independent_forwards(model, collated).items():
+            np.testing.assert_allclose(outputs, expected, atol=1e-9,
+                                       err_msg=name)
 
 
 class TestModelFallback:
@@ -260,7 +278,7 @@ class TestModelFallback:
                                num_conv_layers=1, seed=0)
         assert not model.supports_packed()
 
-    def test_trainer_falls_back_to_the_per_graph_loop(self):
+    def test_trainer_runs_the_collated_forward(self):
         from repro.synth.graph_gen import GraphGenConfig
 
         shapes = GraphGenConfig(num_nodes=(2, 10), feature_dim=6)
@@ -269,16 +287,19 @@ class TestModelFallback:
                                num_conv_layers=1, seed=0)
         trainer = Trainer(model, TrainingConfig(epochs=1))
         trainer._fit_scalers(GraphDataset(graphs, name="fallback"))
+        batch = trainer._scaled_batch(GraphEncoder.collate(graphs))
+        expected = trainer.target_scaler.inverse_transform(
+            np.clip(model.predict(batch), 0.0, 1.0))
+        np.testing.assert_array_equal(trainer.predict(graphs), expected)
         np.testing.assert_array_equal(
-            trainer.predict_packed(graphs),
-            trainer.predict(GraphDataset(graphs, name="fallback")))
+            trainer.predict(GraphDataset(graphs, name="fallback")), expected)
 
-    def test_predict_packed_requires_fitted_scalers(self):
+    def test_predict_requires_fitted_scalers(self):
         model = ParaGraphModel(node_feature_dim=6, hidden_dim=4,
                                num_conv_layers=1, seed=0)
         trainer = Trainer(model, TrainingConfig(epochs=1))
         with pytest.raises(RuntimeError, match="fit must run"):
-            trainer.predict_packed([random_encoded_graph(141)])
+            trainer.predict([random_encoded_graph(141)])
 
     def test_empty_request_list_returns_empty(self):
         model = ParaGraphModel(node_feature_dim=6, hidden_dim=4,
@@ -286,4 +307,5 @@ class TestModelFallback:
         trainer = Trainer(model, TrainingConfig(epochs=1))
         trainer._fit_scalers(GraphDataset([random_encoded_graph(151)],
                                           name="empty"))
-        assert trainer.predict_packed([]).shape == (0,)
+        assert trainer.predict([]).shape == (0,)
+        assert trainer.predict(GraphDataset([], name="empty")).shape == (0,)

@@ -2,8 +2,8 @@
 
 The vectorized ``RGATConv`` / ``RGCNConv`` forwards (relation-bucketed edge
 layout + stacked projections + fused gather/softmax/scatter) must reproduce
-the seed per-relation-loop implementations — kept as ``forward_reference`` —
-to float64 precision, for values *and* gradients, across dense and sparse
+the seed per-relation-loop implementations — kept in
+:mod:`repro.gnn.reference` — to float64 precision, for values *and* gradients, across dense and sparse
 relation regimes.  Also covers the edge-layout cache and the cached
 self-loop helper.
 """
@@ -22,6 +22,7 @@ from repro.gnn import (
     cached_add_self_loops,
     get_edge_layout,
 )
+from repro.gnn.reference import forward_reference, use_reference_convs
 from repro.nn import Tensor
 
 
@@ -46,7 +47,7 @@ class TestRGATParity:
         x_data, ei, et, ew = random_graph(num_nodes, num_edges, num_relations)
         conv = RGATConv(5, 4, num_relations=num_relations, heads=heads,
                         rng=np.random.default_rng(1))
-        reference = conv.forward_reference(Tensor(x_data), ei, et, ew)
+        reference = forward_reference(conv, Tensor(x_data), ei, et, ew)
         vectorized = conv(Tensor(x_data), ei, et, ew)
         np.testing.assert_allclose(vectorized.data, reference.data, atol=1e-9)
 
@@ -58,7 +59,7 @@ class TestRGATParity:
 
         x_ref = Tensor(x_data.copy(), requires_grad=True)
         conv.zero_grad()
-        conv.forward_reference(x_ref, ei, et, ew).pow(2.0).sum().backward()
+        forward_reference(conv, x_ref, ei, et, ew).pow(2.0).sum().backward()
         grads_ref = {name: p.grad.copy() if p.grad is not None else None
                      for name, p in conv.named_parameters()}
 
@@ -77,8 +78,8 @@ class TestRGATParity:
     def test_empty_edge_list(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
         conv = RGATConv(5, 3, num_relations=2)
-        reference = conv.forward_reference(x, np.zeros((2, 0), dtype=np.int64),
-                                           np.zeros(0, dtype=np.int64))
+        reference = forward_reference(conv, x, np.zeros((2, 0), dtype=np.int64),
+                                      np.zeros(0, dtype=np.int64))
         vectorized = conv(x, np.zeros((2, 0), dtype=np.int64),
                           np.zeros(0, dtype=np.int64))
         np.testing.assert_allclose(vectorized.data, reference.data)
@@ -96,7 +97,7 @@ class TestRGCNParity:
         x_data, ei, et, ew = random_graph(num_nodes, num_edges, num_relations)
         conv = RGCNConv(5, 4, num_relations=num_relations,
                         rng=np.random.default_rng(3))
-        reference = conv.forward_reference(Tensor(x_data), ei, et, ew)
+        reference = forward_reference(conv, Tensor(x_data), ei, et, ew)
         vectorized = conv(Tensor(x_data), ei, et, ew)
         np.testing.assert_allclose(vectorized.data, reference.data, atol=1e-9)
 
@@ -106,7 +107,7 @@ class TestRGCNParity:
 
         x_ref = Tensor(x_data.copy(), requires_grad=True)
         conv.zero_grad()
-        conv.forward_reference(x_ref, ei, et, ew).pow(2.0).sum().backward()
+        forward_reference(conv, x_ref, ei, et, ew).pow(2.0).sum().backward()
         grads_ref = {name: p.grad.copy() if p.grad is not None else None
                      for name, p in conv.named_parameters()}
 
@@ -142,11 +143,7 @@ class TestModelParity:
             num_graphs=2,
         )
         vectorized = model.predict(batch)
-
-        import types
-        for conv in model.convs:
-            conv.forward = types.MethodType(RGATConv.forward_reference, conv)
-        reference = model.predict(batch)
+        reference = use_reference_convs(model).predict(batch)
         np.testing.assert_allclose(vectorized, reference, atol=1e-9)
 
 

@@ -10,12 +10,15 @@ lifecycle (drain/close), and the satellite fixes: empty-batch dtype,
 cache ``reset_stats``, and the ``set_default_dtype`` serving deprecation.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
 from repro.api import DataConfig, ModelConfig, ReproConfig, Session, get_kernel
+from repro.ml import GraphDataset
+from repro.ml.metrics import normalized_rmse, rmse
 from repro.ml.trainer import TrainingConfig
 from repro.pipeline import SweepConfig
 from repro.serve import Server, ServerConfig
@@ -381,32 +384,37 @@ class TestPoisonedBatchRetryPath:
 
 
 class TestPackedForward:
-    """The packed block-diagonal serving path (ServerConfig.packed_forward)."""
+    """Every batch runs the packed block-diagonal forward."""
 
     def test_packed_batch_matches_per_graph_loop_bit_for_bit(
             self, session, requests):
-        legacy = Server(session, ServerConfig(packed_forward=False))
-        packed = Server(session, ServerConfig())        # packed is the default
+        server = Server(session, ServerConfig())
         per_graph = np.concatenate(
-            [legacy.predict_batch([spec], PLATFORM, dtype=None)
+            [server.predict_batch([spec], PLATFORM, dtype=None)
              for spec in requests])
         np.testing.assert_array_equal(
-            packed.predict_batch(requests, PLATFORM, dtype=None), per_graph,
+            server.predict_batch(requests, PLATFORM, dtype=None), per_graph,
             err_msg="packed forward diverged from the per-graph loop")
 
-    def test_packed_forward_can_be_disabled(self, session, requests, reference):
-        with Server(session, ServerConfig(num_workers=1,
-                                          packed_forward=False)) as server:
-            got = server.predict_batch(requests, PLATFORM, dtype=None)
-        # the legacy collated loop matches only to BLAS rounding: batch
-        # composition changes the GEMM shapes there
-        np.testing.assert_allclose(got, reference["float64"], rtol=1e-9)
-
-    def test_packed_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PACKED", "0")
-        assert ServerConfig.from_env().packed_forward is False
-        monkeypatch.setenv("REPRO_SERVE_PACKED", "true")
-        assert ServerConfig.from_env().packed_forward is True
+    def test_evaluation_matches_serving_bit_for_bit(self, session, requests):
+        """The predictions evaluation scores are the ones the server serves:
+        a multi-graph dataset through ``Trainer.predict`` / ``evaluate``
+        equals ``predict_batch`` and a pooled server, bit for bit."""
+        trainer = session.trainer_for(PLATFORM)
+        targets = np.linspace(10.0, 1000.0, len(requests))
+        dataset = GraphDataset(
+            [dataclasses.replace(session.encode_source(spec), target=target)
+             for spec, target in zip(requests, targets)], name="evaluation")
+        assert trainer.config.batch_size > 1
+        evaluated = trainer.predict(dataset, dtype=None)
+        served = session.predict_batch(requests, PLATFORM, dtype=None)
+        with Server(session, ServerConfig(num_workers=1)) as server:
+            pooled = server.predict_batch(requests, PLATFORM, dtype=None)
+        np.testing.assert_array_equal(evaluated, served)
+        np.testing.assert_array_equal(evaluated, pooled)
+        assert trainer.evaluate(dataset) == {
+            "rmse": rmse(targets, served),
+            "normalized_rmse": normalized_rmse(targets, served)}
 
 
 class TestServerConfigFromEnv:
@@ -422,7 +430,6 @@ class TestServerConfigFromEnv:
         ("REPRO_SERVE_MAX_RETRIES", "1", "max_retries", 1),
         ("REPRO_SERVE_BREAKER_THRESHOLD", "4", "breaker_threshold", 4),
         ("REPRO_SERVE_BREAKER_RESET_MS", "1500", "breaker_reset_s", 1.5),
-        ("REPRO_SERVE_PACKED", "no", "packed_forward", False),
     ]
 
     MALFORMED = [
@@ -434,7 +441,6 @@ class TestServerConfigFromEnv:
         ("REPRO_SERVE_MAX_RETRIES", "none"),
         ("REPRO_SERVE_BREAKER_THRESHOLD", "0x8"),
         ("REPRO_SERVE_BREAKER_RESET_MS", "5,0"),
-        ("REPRO_SERVE_PACKED", "maybe"),
     ]
 
     @pytest.mark.parametrize("name,raw,attr,expected", VALID)
