@@ -21,8 +21,11 @@ graphs) or a gather → :func:`~repro.nn.functional.segment_matmul` of only
 the rows each relation actually touches (sparse relations), followed by a
 fused gather → message → segment-softmax → scatter-add with no Python loop
 over relations.  Inference runs :meth:`RGATConv.forward_packed`, a raw-array
-kernel over a block-diagonal pack of one or more graphs.  The seed
-per-relation loop lives on in :mod:`repro.gnn.reference` as a test oracle.
+kernel over a block-diagonal pack of one or more graphs; in both of its
+branches the attention scores are folded node-level projections
+``x @ (W · att)``, so no per-edge destination projection is ever built.
+The seed per-relation loop lives on in :mod:`repro.gnn.reference` as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -180,13 +183,14 @@ class RGATConv(MessagePassing):
         return aggregated + self.bias
 
     def _fused_pack(self, dtype):
-        """Pre-packed single-GEMM weights for the packed kernel's dense branch.
+        """Pre-packed weights for :meth:`forward_packed`.
 
         ``W2`` is the relation-stacked projection reshaped to ``(F, R*H*C)``
-        so all relations project in one BLAS call, and ``A_src`` / ``A_dst``
-        fold the attention vectors into the projection
-        (``score = x @ (W · att)``), shape ``(F, R*H)`` — attention scores
-        never materialise the per-node, per-relation feature block.  Cached
+        so the dense branch projects all relations in one BLAS call, and
+        ``A_src`` / ``A_dst`` fold the attention vectors into the projection
+        (``score = x @ (W · att)``), shape ``(F, R*H)`` — both branches score
+        attention from these folded node-level projections and never
+        materialise a per-edge or per-relation feature block for it.  Cached
         per conv *and per dtype* (float32 serving and float64 parity calls
         interleave across serving threads), keyed by the identity of the
         (possibly dtype-cast) parameter arrays so a pack lives until the
@@ -241,43 +245,36 @@ class RGATConv(MessagePassing):
                                   dtype=out_dtype)
         else:
             src, dst = layout.src, layout.dst
-            # chunks partition every graph's edges, so each row of h / logit
-            # is written exactly once below — the buffers start uninitialised
+            packed_w, packed_a_src, packed_a_dst = self._fused_pack(x.dtype)
+            # per-node attention scores x @ (W · att), one GEMM pair per
+            # graph; rows of edgeless graphs are never gathered
+            score_src = np.empty((num_nodes, packed_a_src.shape[1]),
+                                 dtype=out_dtype)
+            score_dst = np.empty_like(score_src)
+            # chunks partition every graph's edges, so each row of h is
+            # written exactly once below — the buffer starts uninitialised
             h = np.empty((num_edges, heads, out_channels), dtype=out_dtype)
-            logit = np.empty((num_edges, heads), dtype=out_dtype)
             flat = h.reshape(num_edges, heads * out_channels)
-            att_src, att_dst = self.att_src.data, self.att_dst.data
             for g, chunks in enumerate(packed.chunks):
                 if not chunks:
                     continue
                 n0, n1 = int(node_offsets[g]), int(node_offsets[g + 1])
+                xg = x[n0:n1]
+                np.matmul(xg, packed_a_src, out=score_src[n0:n1])
+                np.matmul(xg, packed_a_dst, out=score_dst[n0:n1])
                 graph_edges = sum(hi - lo for _, lo, hi in chunks)
                 if self.num_relations * (n1 - n0) <= 2 * graph_edges:
-                    packed_w, packed_a_src, packed_a_dst = self._fused_pack(x.dtype)
-                    xg = x[n0:n1]
                     proj = (xg @ packed_w).reshape(-1, heads, out_channels)
-                    score_src = (xg @ packed_a_src).reshape(-1, heads)
-                    score_dst = (xg @ packed_a_dst).reshape(-1, heads)
                     base = n0 * self.num_relations   # global → graph-local cell
                     for _, lo, hi in chunks:
-                        cell_s = layout.cell_src[lo:hi] - base
-                        h[lo:hi] = proj[cell_s]
-                        logit[lo:hi] = score_src[cell_s] \
-                            + score_dst[layout.cell_dst[lo:hi] - base]
+                        h[lo:hi] = proj[layout.cell_src[lo:hi] - base]
                 else:
-                    # GEMMs write straight into the packed buffer; within a
-                    # chunk every edge shares one relation, so the attention
-                    # vectors broadcast instead of gathering (E, H, C) rows
                     for relation, lo, hi in chunks:
                         np.matmul(x[src[lo:hi]], weight[relation],
                                   out=flat[lo:hi])
-                        h_dst = (x[dst[lo:hi]] @ weight[relation]).reshape(
-                            hi - lo, heads, out_channels)
-                        np.einsum("ehc,hc->eh", h[lo:hi], att_src[relation],
-                                  out=logit[lo:hi])
-                        logit[lo:hi] += np.einsum("ehc,hc->eh", h_dst,
-                                                  att_dst[relation])
-
+            # cell = node * R + relation indexes the (N*R, H) score views
+            logit = score_src.reshape(-1, heads)[layout.cell_src] \
+                + score_dst.reshape(-1, heads)[layout.cell_dst]
             logit = np.where(logit > 0, logit, self.negative_slope * logit)
             seg_max = layout.segment_reduce(logit, op="max")
             logit -= seg_max[dst]

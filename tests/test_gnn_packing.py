@@ -22,9 +22,11 @@ from repro.gnn import (
     pack_graphs,
     split_packs,
 )
-from repro.gnn.reference import independent_forwards
+from repro.gnn.reference import forward_reference, independent_forwards
+from repro.gnn.rgat import RGATConv
 from repro.ml.dataset import GraphDataset
 from repro.ml.trainer import Trainer, TrainingConfig
+from repro.nn import Adam, Tensor
 from repro.paragraph.encoders import GraphEncoder
 from repro.synth import random_encoded_graph, run_cases
 
@@ -270,6 +272,100 @@ class TestSplitPacks:
         for name, expected in independent_forwards(model, collated).items():
             np.testing.assert_allclose(outputs, expected, atol=1e-9,
                                        err_msg=name)
+
+
+def _branch_graph(num_nodes, num_edges, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(num_nodes, 5)),
+            rng.integers(0, num_nodes, size=(2, num_edges)),
+            rng.integers(0, RELATIONS, size=num_edges),
+            rng.random(num_edges))
+
+
+def _conv_packed(conv, graphs):
+    layouts = [get_edge_layout(ei, et, x.shape[0], RELATIONS,
+                               cache=EdgeLayoutCache(capacity=0))
+               for x, ei, et, _ in graphs]
+    return conv.forward_packed(np.concatenate([g[0] for g in graphs]),
+                               merge_layouts(layouts),
+                               np.concatenate([g[3] for g in graphs]))
+
+
+class TestScoringBranches:
+    """Both branches of ``RGATConv.forward_packed`` score attention from the
+    folded node-level projections; random synth graphs need not reach
+    both, so each graph here is shaped to force one."""
+
+    DENSE = _branch_graph(5, 24, seed=1)      # R*N = 40 <= 2E = 48
+    SPARSE = _branch_graph(20, 20, seed=2)    # R*N = 160 > 2E = 40
+
+    def test_graphs_force_their_branch(self):
+        for graph, dense in ((self.DENSE, True), (self.SPARSE, False)):
+            num_nodes, num_edges = graph[0].shape[0], graph[1].shape[1]
+            assert (RELATIONS * num_nodes <= 2 * num_edges) is dense
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("branch", ["DENSE", "SPARSE"])
+    def test_pack_of_one_matches_the_seed_loop(self, heads, branch):
+        graph = getattr(self, branch)
+        conv = RGATConv(5, 4, num_relations=RELATIONS, heads=heads,
+                        rng=np.random.default_rng(3))
+        reference = forward_reference(conv, Tensor(graph[0]), *graph[1:])
+        np.testing.assert_allclose(_conv_packed(conv, [graph]),
+                                   reference.data, atol=1e-9)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_mixed_pack_is_bit_identical_in_both_orders(self, heads):
+        conv = RGATConv(5, 4, num_relations=RELATIONS, heads=heads,
+                        rng=np.random.default_rng(4))
+        dense = _conv_packed(conv, [self.DENSE])
+        sparse = _conv_packed(conv, [self.SPARSE])
+        np.testing.assert_array_equal(
+            _conv_packed(conv, [self.DENSE, self.SPARSE]),
+            np.concatenate([dense, sparse]))
+        np.testing.assert_array_equal(
+            _conv_packed(conv, [self.SPARSE, self.DENSE]),
+            np.concatenate([sparse, dense]))
+
+
+class TestFusedPackMemo:
+    """The per-conv ``_fused_pack`` memo is keyed by parameter identity, so
+    rebinding the weights must never serve the old pack."""
+
+    GRAPHS = [random_encoded_graph(seed) for seed in (191, 192, 193)]
+
+    def _model(self, seed):
+        return ParaGraphModel(
+            node_feature_dim=self.GRAPHS[0].node_features.shape[1],
+            hidden_dim=4, num_conv_layers=2, heads=2, seed=seed)
+
+    def _predict(self, model):
+        batch = pack_graphs(self.GRAPHS, RELATIONS)
+        return (model.predict_packed(batch),
+                model.predict_packed(batch, dtype=np.float32))
+
+    def _assert_matches_fresh(self, model, stale):
+        fresh = self._model(seed=99)
+        fresh.load_state_dict(model.state_dict())
+        for got, expected, old in zip(self._predict(model),
+                                      self._predict(fresh), stale):
+            np.testing.assert_array_equal(got, expected)
+            assert not np.array_equal(got, old)
+
+    def test_optimizer_step_invalidates_the_pack(self):
+        model = self._model(seed=0)
+        stale = self._predict(model)
+        rng = np.random.default_rng(5)
+        for parameter in model.parameters():
+            parameter.grad = rng.normal(size=parameter.data.shape)
+        Adam(model.parameters(), lr=1e-2).step()
+        self._assert_matches_fresh(model, stale)
+
+    def test_load_state_dict_invalidates_the_pack(self):
+        model = self._model(seed=0)
+        stale = self._predict(model)
+        model.load_state_dict(self._model(seed=1).state_dict())
+        self._assert_matches_fresh(model, stale)
 
 
 class TestModelFallback:
